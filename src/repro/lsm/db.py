@@ -463,7 +463,7 @@ class DB:
         """Time-averaged writers waiting across all queue shards (Fig. 16)."""
         return sum(q.mean_waiting() for q in self.write_queues)
 
-    # ------------------------------------------------------- batched fast path
+    # ---------------------------------------------------- solo-client fast path
 
     def put_fast(self, key: bytes, value: Value) -> Optional[int]:
         """Non-generator twin of :meth:`put` for the no-yield-needed case.
@@ -479,7 +479,9 @@ class DB:
         checked before any mutation, so falling back is always safe).
 
         Effect order replicates the per-op path exactly; the only divergence
-        is virtual-time bookkeeping the kernel would have done for us.
+        is virtual-time bookkeeping the kernel would have done for us.  Only
+        solo workload clients call this (and :meth:`get_fast`), wrapped in
+        :func:`repro.sim.engine.drive`, which rebases their later sleeps.
         """
         engine = self.engine
         if (

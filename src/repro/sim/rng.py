@@ -42,6 +42,16 @@ class RandomStream:
         """Uniform integer in [lo, hi] inclusive."""
         return self._rng.randint(lo, hi)
 
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n); draws exactly as ``randint(0, n - 1)``.
+
+        ``randint`` normalizes its bounds through two call layers before
+        reaching the same ``_randbelow`` draw; hot client loops call this.
+        """
+        if n < 1:
+            raise ValueError(f"empty range for randbelow({n})")
+        return self._rng._randbelow(n)
+
     def random(self) -> float:
         return self._rng.random()
 

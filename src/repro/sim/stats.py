@@ -8,29 +8,10 @@ with bounded memory, no matter how many operations a run executes.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.units import SEC
-
-# numpy is an optional accelerator (pyproject extra ``[perf]``): every bulk
-# path below has a pure-python fallback producing bit-identical state.  Set
-# REPRO_NO_NUMPY=1 to force the fallback (CI proves it passes the suite).
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - the image ships numpy
-        _np = None
-
-# Below this many samples the ndarray conversion costs more than it saves.
-_BULK_MIN = 32
-
-# np.frexp exponents equal int.bit_length() only while the float64 mantissa
-# is exact; route larger samples through the scalar path.
-_FLOAT_EXACT = 1 << 53
 
 _SUBBUCKETS = 32  # per power of two; worst-case relative error ~3%
 
@@ -101,47 +82,7 @@ class LatencyHistogram:
             self.max = value
 
     def record_many(self, values: Sequence[int]) -> None:
-        """Record a batch of samples, bit-identical to a ``record`` loop.
-
-        With numpy available the bucket indices are computed vectorized
-        (``frexp`` exponents equal ``int.bit_length()`` for exact float64
-        values) and the percentile cache is invalidated at most once per
-        batch.  Batches containing negatives (which must raise exactly like
-        the scalar path, prefix included) or samples at/above 2**53 (where
-        float exponents stop being trustworthy) fall back to the scalar
-        loop, as does any batch when numpy is unavailable.
-        """
-        n = len(values)
-        if n == 0:
-            return
-        if _np is not None and n >= _BULK_MIN:
-            arr = _np.asarray(values, dtype=_np.int64)
-            lo = int(arr.min())
-            hi = int(arr.max())
-            if lo >= 0 and hi < _FLOAT_EXACT and hi * n < (1 << 62):
-                # bit_length via frexp: value in [2**(e-1), 2**e) => exp e.
-                exp = _np.frexp(arr)[1].astype(_np.int64)
-                shift = exp - 6
-                _np.clip(shift, 0, None, out=shift)
-                idx = (shift + 1) * _SUBBUCKETS + (arr >> shift) - _SUBBUCKETS
-                uniq, counts = _np.unique(idx, return_counts=True)
-                buckets = self._buckets
-                dirty = False
-                for i, c in zip(uniq.tolist(), counts.tolist()):
-                    if i in buckets:
-                        buckets[i] += c
-                    else:
-                        buckets[i] = c
-                        dirty = True
-                if dirty:
-                    self._sorted = None
-                self.count += n
-                self.total += int(arr.sum())
-                if self.min is None or lo < self.min:
-                    self.min = lo
-                if self.max is None or hi > self.max:
-                    self.max = hi
-                return
+        """Record a batch of samples."""
         record = self.record
         for value in values:
             record(value)
@@ -241,41 +182,11 @@ class TimeSeries:
     def record_many(
         self, times: Sequence[int], counts: Optional[Sequence[int]] = None
     ) -> None:
-        """Record a batch of events, bit-identical to a ``record`` loop.
+        """Record a batch of events.
 
         ``counts`` (optional, parallel to ``times``) weights each event —
-        the vector analogue of ``record(now, n)``.  The numpy path keeps
-        all arithmetic in int64 (a stable argsort + ``reduceat`` instead of
-        ``bincount``, whose weighted form returns floats), so bucket totals
-        match the scalar loop exactly.
+        the vector analogue of ``record(now, n)``.
         """
-        n = len(times)
-        if n == 0:
-            return
-        if _np is not None and n >= _BULK_MIN:
-            arr = _np.asarray(times, dtype=_np.int64)
-            idx = arr // self.bucket_ns
-            buckets = self._buckets
-            if counts is None:
-                uniq, cnt = _np.unique(idx, return_counts=True)
-                self.count += n
-            else:
-                weights = _np.asarray(counts, dtype=_np.int64)
-                order = _np.argsort(idx, kind="stable")
-                sorted_idx = idx[order]
-                sorted_w = weights[order]
-                starts = _np.concatenate(
-                    ([0], _np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1)
-                )
-                uniq = sorted_idx[starts]
-                cnt = _np.add.reduceat(sorted_w, starts)
-                self.count += int(sorted_w.sum())
-            for i, c in zip(uniq.tolist(), cnt.tolist()):
-                if i in buckets:
-                    buckets[i] += c
-                else:
-                    buckets[i] = c
-            return
         record = self.record
         if counts is None:
             for now in times:

@@ -15,16 +15,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.lsm.db import DB
-from repro.lsm.format import KIND_PUT
 from repro.sim.engine import Engine, drive
 from repro.sim.rng import RandomStream
 from repro.sim.stats import LatencyHistogram, TimeSeries
 from repro.sim.units import SEC, seconds
-from repro.workloads.batching import batch_ops, batching_enabled
 from repro.workloads.generators import (
     BurstSchedule,
     KeySpace,
-    OperationMix,
     ValueSpec,
 )
 
@@ -120,53 +117,23 @@ class DbBench:
         result.timeline = TimeSeries(bucket_ns=cfg.timeline_bucket_ns)
         keyspace = KeySpace(cfg.key_count)
         values = ValueSpec(cfg.value_size)
-        mix = OperationMix(cfg.write_fraction)
 
-        # Batched clients pre-draw RNG vectors and use the DB fast path;
-        # burst schedules stay per-op (the chance draw is time-dependent,
-        # and draw *counts* change when the fraction saturates at 0 or 1).
-        batched = batching_enabled() and cfg.schedule is None
-        buffers: List[Tuple[List[int], List[int], List[int]]] = []
+        solo = cfg.processes == 1
         for pid in range(cfg.processes):
             rng = RandomStream(cfg.seed, f"db_bench/client{pid}")
-            if batched:
-                buf: Tuple[List[int], List[int], List[int]] = ([], [], [])
-                buffers.append(buf)
-                gen = self._client_batched(
-                    engine, db, rng, keyspace, values, mix, end,
-                    measure_from, result, buf,
-                )
-                if cfg.processes == 1:
-                    # The drive() wrapper rebases kernel sleeps issued after
-                    # a synchronous clock warp — without it a post-warp
-                    # ``yield overhead`` would be scheduled from the kernel's
-                    # stale pop-time clock, rewinding time.  The batched
-                    # client therefore only warps (fast paths included) when
-                    # it is the sole client and wrapped; concurrent clients
-                    # never touch the clock and skip the wrapper's per-yield
-                    # frame hop.
-                    gen = drive(engine, gen)
-                engine.process(gen, name=f"db_bench-{pid}")
-            else:
-                engine.process(
-                    self._client(
-                        engine, db, rng, keyspace, values, mix, end,
-                        measure_from, result,
-                    ),
-                    name=f"db_bench-{pid}",
-                )
+            gen = self._client(
+                engine, db, rng, keyspace, values, end, measure_from, result,
+                solo,
+            )
+            if solo:
+                # The DB fast paths advance the clock synchronously; drive()
+                # rebases the client's later kernel sleeps past those warps.
+                gen = drive(engine, gen)
+            engine.process(gen, name=f"db_bench-{pid}")
         engine.process(
             self._sampler(engine, db, end, result), name="db_bench-sampler"
         )
         engine.run(until=end)
-
-        # Bulk-flush the batched clients' buffered samples.  Histogram and
-        # timeline state is order-independent (integer adds), so one flush
-        # per client matches the per-op run's interleaved records exactly.
-        for w_lat, r_lat, fin in buffers:
-            result.write_latency.record_many(w_lat)
-            result.read_latency.record_many(r_lat)
-            result.timeline.record_many(fin)
 
         result.measured_ns = end - measure_from
         result.mean_waiting_writers = db.mean_waiting_writers()
@@ -180,173 +147,62 @@ class DbBench:
         rng: RandomStream,
         keyspace: KeySpace,
         values: ValueSpec,
-        mix: OperationMix,
         end: int,
         measure_from: int,
         result: BenchResult,
+        solo: bool,
     ):
-        cfg = self.config
+        """One closed-loop db_bench process.
+
+        Each op sleeps the client overhead, then draws its kind (the write
+        chance, read off the burst schedule when one is set) and its key.
+        A ``solo`` client first tries ``DB.put_fast``/``get_fast``, which
+        finish an op synchronously when nothing else could observe it; it
+        must run under :func:`drive`.
+        """
         overhead = db.costs.client_op_overhead_ns
-        schedule = cfg.schedule
+        schedule = self.config.schedule
+        fraction_at = schedule.write_fraction_at if schedule is not None else None
+        write_fraction = self.config.write_fraction
+        chance = rng.chance
+        randbelow = rng.randbelow
+        count = keyspace.count
+        key_at = keyspace.key_at
+        value_for = values.value_for
+        put = db.put
+        get = db.get
+        put_fast = db.put_fast if solo else None
+        get_fast = db.get_fast if solo else None
+        record_write = result.write_latency.record
+        record_read = result.read_latency.record
+        record_finished = result.timeline.record
         version_counter = 1
         while engine.now < end:
             if overhead:
                 yield overhead
-            if schedule is not None:
-                write = rng.chance(schedule.write_fraction_at(engine.now))
-            else:
-                write = mix.next_op(rng) == "write"
-            key_index = rng.randint(0, keyspace.count - 1)
-            key = keyspace.key_at(key_index)
+            write = chance(
+                fraction_at(engine.now) if fraction_at else write_fraction
+            )
+            key_index = randbelow(count)
+            key = key_at(key_index)
             began = engine.now
             if write:
                 version_counter += 1
-                yield from db.put(key, values.value_for(key_index, version_counter))
-                finished = engine.now
-                if began >= measure_from:
-                    result.writes += 1
-                    result.write_latency.record(finished - began)
-            else:
-                yield from db.get(key)
-                finished = engine.now
-                if began >= measure_from:
-                    result.reads += 1
-                    result.read_latency.record(finished - began)
+                value = value_for(key_index, version_counter)
+                if put_fast is None or put_fast(key, value) is None:
+                    yield from put(key, value)
+            elif get_fast is None or get_fast(key) is None:
+                yield from get(key)
             if began >= measure_from:
-                result.ops += 1
-                result.timeline.record(finished)
-
-    def _client_batched(
-        self,
-        engine: Engine,
-        db: DB,
-        rng: RandomStream,
-        keyspace: KeySpace,
-        values: ValueSpec,
-        mix: OperationMix,
-        end: int,
-        measure_from: int,
-        result: BenchResult,
-        buf: "Tuple[List[int], List[int], List[int]]",
-    ):
-        """Vectorized twin of :meth:`_client`, bit-identical op stream.
-
-        Per wakeup, one op vector's RNG values are pre-drawn in the exact
-        per-op order (the mix's chance draw — skipped entirely when the
-        write fraction saturates, matching ``RandomStream.chance`` — then
-        the key draw).  Each op tries the DB fast path first and falls back
-        to the per-op generator at any boundary; latencies and timeline
-        stamps accumulate in ``buf`` for one ``record_many`` per run.
-        Surplus tail draws when the run ends mid-vector are unobservable:
-        the stream is private to this client.
-        """
-        overhead = db.costs.client_op_overhead_ns
-        wf = mix.write_fraction
-        count = keyspace.count
-        random = rng.random
-        # rng.randint(0, count - 1) normalizes its arguments through two
-        # call layers before landing in Random._randbelow(count); drawing
-        # through _randbelow directly consumes the identical underlying
-        # stream (randrange's width path) at a fraction of the call cost.
-        randbelow = getattr(rng._rng, "_randbelow", None)
-        if randbelow is None:  # non-CPython Random: keep the public API
-            randint = rng.randint
-            def randbelow(n):
-                return randint(0, n - 1)
-        key_at = keyspace.key_at
-        put_fast = db.put_fast
-        get_fast = db.get_fast
-        write_ops = db._write_ops
-        mts = db.memtables
-        solo = self.config.processes == 1
-        # Cheap eligibility gates, hoisted from the fast paths themselves:
-        # attempting (and bailing out of) put_fast/get_fast costs more than
-        # these probes.  Fast paths (and the inline overhead warp below) are
-        # solo-client only: they advance ``engine._now`` synchronously, which
-        # is safe only under the rebasing drive() wrapper run() adds for
-        # single-client configs.  With concurrent clients every op takes the
-        # generator path — the gates are perf-only either way, the op stream
-        # is bit-identical.
-        queue = (
-            db.write_queues[0]
-            if solo and len(db.write_queues) == 1
-            else None
-        )
-        fast_mts = mts if solo else None
-        nowq = engine._nowq
-        heap = engine._heap
-        batch = batch_ops()
-        version_counter = 1
-        w_lat, r_lat, fin = buf
-        always_write = wf >= 1.0
-        never_write = wf <= 0.0
-        mixed = not (always_write or never_write)
-        while engine._now < end:
-            if mixed:
-                ops = [
-                    (random() < wf, randbelow(count)) for _ in range(batch)
-                ]
-            else:
-                ops = [
-                    (always_write, randbelow(count)) for _ in range(batch)
-                ]
-            for write, key_index in ops:
-                if engine._now >= end:
-                    return
-                if overhead:
-                    if solo:
-                        wake = engine._now + overhead
-                        if (
-                            nowq
-                            or (heap and heap[0][0] <= wake)
-                            or wake > engine.run_limit
-                        ):
-                            yield overhead
-                        else:
-                            engine._now = wake
-                    else:
-                        yield overhead
-                key = key_at(key_index)
-                began = engine._now
+                finished = engine.now
                 if write:
-                    version_counter += 1
-                    value = values.value_for(key_index, version_counter)
-                    if queue is not None and not (
-                        queue._has_leader or queue._waiting
-                    ):
-                        lat = put_fast(key, value)
-                    else:
-                        lat = None
-                    if lat is None:
-                        # db.put() minus its wrapper: the op tuple and the
-                        # data-bytes arithmetic are built inline (values are
-                        # always ValueRefs here).
-                        yield from write_ops(
-                            [(KIND_PUT, key, value)], len(key) + value.size
-                        )
-                        lat = engine._now - began
-                    if began >= measure_from:
-                        result.writes += 1
-                        result.ops += 1
-                        w_lat.append(lat)
-                        fin.append(began + lat)
+                    result.writes += 1
+                    record_write(finished - began)
                 else:
-                    if (
-                        fast_mts is not None
-                        and (
-                            fast_mts.immutables
-                            or fast_mts.mutable.get(key) is not None
-                        )
-                        and get_fast(key) is not None
-                    ):
-                        pass  # memtable hit, clock already advanced
-                    else:
-                        yield from db.get(key)
-                    if began >= measure_from:
-                        result.reads += 1
-                        result.ops += 1
-                        r_lat.append(engine._now - began)
-                        fin.append(engine._now)
+                    result.reads += 1
+                    record_read(finished - began)
+                result.ops += 1
+                record_finished(finished)
 
     def _sampler(self, engine: Engine, db: DB, end: int, result: BenchResult):
         """Sample the Level-0 file count once per timeline bucket."""

@@ -1,5 +1,6 @@
 """Tests for named deterministic random streams."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -62,6 +63,21 @@ def test_randint_bounds(lo, span):
     for _ in range(50):
         v = rng.randint(lo, lo + span)
         assert lo <= v <= lo + span
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 2**40])
+def test_randbelow_matches_randint_stream(n):
+    a = RandomStream(5, "below")
+    b = RandomStream(5, "below")
+    assert [a.randbelow(n) for _ in range(200)] == [
+        b.randint(0, n - 1) for _ in range(200)
+    ]
+    assert a.random() == b.random()  # same stream position afterwards
+
+
+def test_randbelow_rejects_empty_range():
+    with pytest.raises(ValueError):
+        RandomStream(5).randbelow(0)
 
 
 def test_jittered_zero_jitter_identity():

@@ -159,11 +159,9 @@ def _hist_state(hist):
 class TestRecordMany:
     """Bulk recording is bit-identical to the scalar loop, in any order.
 
-    record_many has a vectorized numpy path above the bulk threshold and a
-    scalar fallback below it (and whenever numpy is unavailable); both must
-    leave exactly the state a plain ``record`` loop would, even when
-    percentile queries — which build a sorted-bucket cache that bulk
-    inserts must invalidate — interleave with the batches.
+    record_many must leave exactly the state a plain ``record`` loop would,
+    even when percentile queries — which build a sorted-bucket cache that
+    bulk inserts must invalidate — interleave with the batches.
     """
 
     @given(
@@ -200,7 +198,7 @@ class TestRecordMany:
 
     def test_bulk_batch_invalidates_percentile_cache(self):
         """A cached percentile must not survive a bulk insert that opens
-        new buckets (the numpy path invalidates at most once per batch)."""
+        new buckets."""
         hist = LatencyHistogram()
         hist.record(10)
         assert hist.percentile(50) == pytest.approx(10.0)
@@ -208,8 +206,8 @@ class TestRecordMany:
         assert hist.percentile(99) == pytest.approx(1_000_000, rel=0.05)
 
     def test_huge_samples_use_scalar_path(self):
-        """Samples at/above 2**53 (float64 exactness limit) must still land
-        in the same buckets as the scalar path."""
+        """Samples at/above 2**53 (the float64 exactness limit) land in the
+        same buckets as scalar records."""
         huge = [2**53, 2**53 + 1, 2**60] * 16
         hist, ref = LatencyHistogram(), LatencyHistogram()
         hist.record_many(huge)
@@ -237,29 +235,6 @@ class TestRecordMany:
             ref.record(t, counts[i] if counts else 1)
         assert dict(ts._buckets) == dict(ref._buckets)
         assert ts.count == ref.count
-
-    def test_no_numpy_fallback_identical(self, monkeypatch):
-        """REPRO_NO_NUMPY's code path (module-level ``_np = None``) must
-        produce byte-identical state to the vectorized path."""
-        import repro.sim.stats as stats_mod
-
-        samples = list(range(0, 5000, 7)) * 2
-        vec = LatencyHistogram()
-        vec.record_many(samples)
-        monkeypatch.setattr(stats_mod, "_np", None)
-        scalar = LatencyHistogram()
-        scalar.record_many(samples)
-        assert _hist_state(vec) == _hist_state(scalar)
-
-        times = [i * 1000 for i in range(200)]
-        counts = [i % 3 + 1 for i in range(200)]
-        scalar_ts = TimeSeries(bucket_ns=SEC // 10)
-        scalar_ts.record_many(times, counts)
-        monkeypatch.undo()
-        vec_ts = TimeSeries(bucket_ns=SEC // 10)
-        vec_ts.record_many(times, counts)
-        assert dict(vec_ts._buckets) == dict(scalar_ts._buckets)
-        assert vec_ts.count == scalar_ts.count
 
 
 class TestTimeSeries:

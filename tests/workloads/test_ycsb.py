@@ -149,6 +149,17 @@ class TestRunner:
         )
         return runner.run(db)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"clients": 0}, {"clients": -1}, {"duration_ns": 0}, {"duration_ns": -5}],
+        ids=["zero-clients", "negative-clients", "zero-duration", "negative-duration"],
+    )
+    def test_invalid_runner_rejected(self, kwargs):
+        """No clients would report 0 kop/s for a run that did nothing; a
+        negative duration would end the run before it starts."""
+        with pytest.raises(WorkloadError):
+            YcsbRunner(CORE_WORKLOADS["A"], key_count=100, **kwargs)
+
     @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E", "F"])
     def test_all_core_workloads_run(self, engine, name):
         result = self.run_workload(engine, name)
