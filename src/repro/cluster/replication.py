@@ -289,9 +289,8 @@ class Cluster:
                 n.node_id,
             ),
         )[0]
-        if winner.state == STAGED:
-            winner.open_db()
-            self._spawn_pump(winner)
+        if winner.state == STAGED and not self._activate(winner):
+            return self.elect()
         self._become_leader(winner)
         for node in up:
             if node.state == STAGED:
@@ -448,9 +447,8 @@ class Cluster:
             d += 1
         divergent = node.log[d:]
         if not divergent:
-            node.open_db()
-            self._spawn_pump(node)
-            self._log(f"node {node.node_id} rejoined clean (log {len(node.log)})")
+            if self._activate(node):
+                self._log(f"node {node.node_id} rejoined clean (log {len(node.log)})")
             return
         leader_tags = {x.tag for x in llog}
         for g in divergent:
@@ -479,8 +477,25 @@ class Cluster:
                 f"node {node.node_id} truncated {len(divergent)} divergent "
                 f"group(s) at log index {d}"
             )
-        node.open_db()
+        self._activate(node)
+
+    def _activate(self, node: ClusterNode) -> bool:
+        """Open a staged node's DB and start its pump; False if it stays down.
+
+        A restart under a full quota cannot create its WAL.  The node then
+        stays crashed — a later restart can rejoin it — rather than the
+        error escaping into whatever fired the restart.
+        """
+        try:
+            node.open_db()
+        except OutOfSpaceError:
+            node.state = CRASHED
+            node.view.kill()
+            self.network.set_down(node.node_id)
+            self._log(f"node {node.node_id} restart failed: out of space")
+            return False
         self._spawn_pump(node)
+        return True
 
     def _wal_files(self, node: ClusterNode):
         """(file, [(nbytes, WalRecord)]) per WAL file, in log order."""

@@ -6,6 +6,10 @@ minimal repro command; ``--save`` dumps the fault schedule as JSON and
 ``--replay`` re-runs a saved schedule under any seed's workload.
 ``--selfcheck`` runs every seed twice in-process and demands
 byte-identical event logs — the determinism contract CI leans on.
+
+Every mode (``--storm``, ``--cluster``, ``--serving`` or the default
+crash mode) is one entry of :data:`repro.dst.scenarios.SCENARIOS`; the
+single sweep loop below serves them all.
 """
 
 from __future__ import annotations
@@ -14,12 +18,22 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.dst.cluster import ClusterDstConfig, ClusterDstRun
-from repro.dst.harness import DstConfig, DstResult, DstRun
-from repro.dst.serving import ServingDstConfig, ServingDstRun
-from repro.dst.storm import STORM_AUTO, STORM_KINDS, StormConfig, StormRun
-from repro.faults import FaultSchedule
+from repro.dst.scenarios import (
+    MODE_DST,
+    SCENARIOS,
+    RaisedRun,
+    fingerprint,
+    run_guarded,
+)
+from repro.dst.storm import STORM_AUTO, STORM_KINDS
 from repro.perf.parallel import default_jobs, imap_points
+
+#: Every mode-specific flag (argparse dest); each mode reads a subset.
+_MODE_FLAGS = tuple(dict.fromkeys(f for s in SCENARIOS.values() for f in s.flags))
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _parse_seeds(args: argparse.Namespace) -> List[int]:
@@ -37,249 +51,73 @@ def _parse_seeds(args: argparse.Namespace) -> List[int]:
 
 def _repro_line(args: argparse.Namespace, seed: int) -> str:
     parts = [f"python -m repro.dst --seed {seed}"]
-    if args.storm:
-        parts.append("--storm")
-        if args.storm_kind != STORM_AUTO:
-            parts.append(f"--storm-kind {args.storm_kind}")
-    if args.cluster:
-        parts.append("--cluster")
-        if args.nodes != 3:
-            parts.append(f"--nodes {args.nodes}")
-    if args.serving:
-        parts.append("--serving")
-        if args.shards != 2:
-            parts.append(f"--shards {args.shards}")
-        if args.replicas != 3:
-            parts.append(f"--replicas {args.replicas}")
-    if args.ops != 300:
-        parts.append(f"--ops {args.ops}")
-    if args.keys != 40:
-        parts.append(f"--keys {args.keys}")
-    if args.no_faults:
-        parts.append("--no-faults")
-    if args.replay:
-        parts.append(f"--replay {args.replay}")
+    if args.mode != MODE_DST:
+        parts.append(_flag(args.mode))
+    for dest in SCENARIOS[args.mode].flags:
+        value = getattr(args, dest)
+        if value is True:
+            parts.append(_flag(dest))
+        elif value is not None:
+            parts.append(f"{_flag(dest)} {value}")
     return " ".join(parts)
 
 
-# -- seed workers (run inside worker processes under --jobs) -----------------
-#
-# Each worker runs one seed's full universe (plus the --selfcheck rerun) and
-# ships back only picklable results.  Configs are constructed *inside* the
-# worker, one fresh instance per run, exactly as the serial loop does, so
-# the event logs are byte-identical for every jobs value.
+def _seed_worker(item):
+    """One seed's run (plus the --selfcheck rerun), inside a --jobs worker.
 
-
-def _dst_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = DstRun(seed, DstConfig(**cfg_kwargs)).run()
-    again = DstRun(seed, DstConfig(**cfg_kwargs)).run() if selfcheck else None
-    return result, again
-
-
-def _cluster_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = ClusterDstRun(seed, ClusterDstConfig(**cfg_kwargs)).run()
-    again = ClusterDstRun(seed, ClusterDstConfig(**cfg_kwargs)).run() if selfcheck else None
-    return result, again
-
-
-def _serving_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-    result = ServingDstRun(seed, ServingDstConfig(**cfg_kwargs)).run()
-    again = (
-        ServingDstRun(seed, ServingDstConfig(**cfg_kwargs)).run()
-        if selfcheck
-        else None
-    )
-    return result, again
-
-
-def _storm_seed_worker(item):
-    seed, cfg_kwargs, selfcheck = item
-
-    def make() -> StormConfig:
-        cfg = StormConfig(kind=cfg_kwargs["kind"])
-        if cfg_kwargs["ops"] is not None:
-            cfg.num_ops = cfg_kwargs["ops"]
-        if cfg_kwargs["keys"] is not None:
-            cfg.num_keys = cfg_kwargs["keys"]
-        return cfg
-
-    result = StormRun(seed, make()).run()
-    again = StormRun(seed, make()).run() if selfcheck else None
-    return result, again
-
-
-def _run_storm(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --storm main loop: degraded-mode/auto-resume sweeps."""
-    failures = 0
-    degraded_seeds = 0
-    cfg_kwargs = {
-        "kind": args.storm_kind,
-        "ops": args.ops if args.ops != 300 else None,
-        "keys": args.keys if args.keys != 40 else None,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_storm_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if again.events != result.events or again.verdict != result.verdict:
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        if result.degraded_entries:
-            degraded_seeds += 1
-        quiesce = "never" if result.quiesce_ns < 0 else f"{result.quiesce_ns}ns"
-        print(
-            f"seed={seed} {result.verdict} kind={result.kind} "
-            f"acked={result.writes_acked}/{result.writes_issued} "
-            f"rejected={result.writes_rejected} "
-            f"degraded={result.degraded_entries} "
-            f"resumes={result.resume_successes} "
-            f"read_only={'y' if result.went_read_only else 'n'} "
-            f"quiesce={quiesce}"
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(f"storm sweep: {degraded_seeds}/{len(seeds)} seeds entered degraded mode")
-        if degraded_seeds == 0:
-            print("  FAIL: no seed ever degraded — the storm is not storming")
-            failures += 1
-    return 1 if failures else 0
-
-
-def _run_cluster(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --cluster main loop: replication/failover invariant sweeps."""
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
-    failures = 0
-    failovers = 0
-    cfg_kwargs = {
-        "num_ops": args.ops if args.ops != 300 else 160,
-        "num_keys": args.keys if args.keys != 40 else 24,
-        "n_nodes": args.nodes,
-        "faults": not args.no_faults,
-        "max_faults": args.max_faults,
-        "schedule": schedule,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_cluster_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if (
-                again.events != result.events
-                or again.verdict != result.verdict
-                or again.log_digest != result.log_digest
-            ):
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        failovers += result.failovers
-        print(
-            f"seed={seed} {result.verdict} cut={result.cut}/{result.writes_issued} "
-            f"acked={result.writes_acked} failovers={result.failovers} "
-            f"crashes={result.crashes} "
-            f"converged={'y' if result.converged else 'n'} "
-            f"log={result.log_digest[:8]}"
-            + (" gave_up" if result.gave_up else "")
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(f"cluster sweep: {failovers} failover(s) across {len(seeds)} seeds")
-    return 1 if failures else 0
-
-
-def _run_serving(args: argparse.Namespace, seeds: List[int]) -> int:
-    """The --serving main loop: fleet-under-chaos resilience sweeps.
-
-    Beyond per-seed verdicts, the sweep itself fails unless *every* seed
-    injected at least one leader-affecting fault (crash or partition)
-    while tenant traffic was live — fair-weather sweeps prove nothing.
+    Each run gets a fresh config instance built from the same kwargs, as
+    the serial loop would, so event logs are byte-identical for every
+    jobs value.  Only picklable results travel back.
     """
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
+    mode, seed, kwargs, selfcheck = item
+    scenario = SCENARIOS[mode]
+    result = run_guarded(lambda: scenario.make_run(seed, kwargs))
+    again = run_guarded(lambda: scenario.make_run(seed, kwargs)) if selfcheck else None
+    return result, again
+
+
+def _sweep(args: argparse.Namespace, seeds: List[int]) -> int:
+    scenario = SCENARIOS[args.mode]
+    kwargs = scenario.from_args(args)
+    items = [(args.mode, seed, kwargs, args.selfcheck) for seed in seeds]
     failures = 0
-    failovers = 0
-    cfg_kwargs = {
-        "shards": args.shards,
-        "replicas": args.replicas,
-        "faults": not args.no_faults,
-        "schedule": schedule,
-    }
-    if args.keys != 40:
-        cfg_kwargs["key_count"] = args.keys
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_serving_seed_worker, items, jobs=args.jobs)
+    total = 0
+    runs = imap_points(_seed_worker, items, jobs=args.jobs)
     for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if (
-                again.events != result.events
-                or again.verdict != result.verdict
-                or again.log_digest != result.log_digest
-            ):
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        failovers += result.failovers
-        print(
-            f"seed={seed} {result.verdict} ops={result.ops} "
-            f"shed={result.shed} errors={result.errors} "
-            f"acked={result.writes_acked} failovers={result.failovers} "
-            f"leader_faults={result.leader_faults} "
-            f"ryw={result.ryw_violations} unresolved={result.unresolved} "
-            f"max_op={result.max_elapsed_us}us "
-            f"converged={'y' if result.converged else 'n'} "
-            f"log={result.log_digest[:8]}"
-            + (" deterministic" if args.selfcheck else "")
-        )
+        if again is not None and fingerprint(again) != fingerprint(result):
+            print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
+            for a, b in zip(result.events, again.events):
+                if a != b:
+                    print(f"  first : {a}\n  second: {b}")
+                    break
+            failures += 1
+            continue
+        crashed = isinstance(result, RaisedRun)
+        line = f"seed={seed} {result.verdict}"
+        if not crashed:
+            line += " " + scenario.summary(result)
+            if scenario.tally is not None:
+                total += scenario.tally(result)
+        print(line + (" deterministic" if args.selfcheck else ""))
         if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
+            for event in result.events:
+                print(f"  {event}")
+            if crashed:
+                print("  " + result.traceback.rstrip().replace("\n", "\n  "))
+        if args.save and result.schedule_json:
             with open(args.save, "w", encoding="utf-8") as fh:
                 fh.write(result.schedule_json + "\n")
             print(f"  schedule saved to {args.save}")
         if not result.ok:
             failures += 1
-            print(f"  reason: {result.reason}")
+            if not crashed:
+                print(f"  reason: {result.reason}")
             print(f"  repro: {_repro_line(args, seed)}")
-    if len(seeds) > 1:
-        print(
-            f"serving sweep: {failovers} failover(s) across {len(seeds)} seeds"
-        )
+    if len(seeds) > 1 and scenario.footer is not None:
+        text, ok = scenario.footer(total, len(seeds))
+        print(text)
+        if not ok:
+            failures += 1
     return 1 if failures else 0
 
 
@@ -292,13 +130,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--seeds", metavar="A:B", help="run seeds A..B-1 (overrides --seed)"
     )
-    parser.add_argument("--ops", type=int, default=300, help="workload operations")
-    parser.add_argument("--keys", type=int, default=40, help="key-space size")
     parser.add_argument(
-        "--no-faults", action="store_true", help="clean run: no faults, power cut at end"
+        "--ops", type=int, help="workload operations (default: the mode's own)"
     )
     parser.add_argument(
-        "--max-faults", type=int, default=5, help="max random fault specs per run"
+        "--keys", type=int, help="key-space size (default: the mode's own)"
+    )
+    parser.add_argument(
+        "--no-faults",
+        action="store_true",
+        default=None,
+        help="clean run: no faults, power cut at end",
+    )
+    parser.add_argument(
+        "--max-faults", type=int, help="max random fault specs per run (default 5)"
     )
     parser.add_argument(
         "--replay", metavar="FILE", help="run a saved fault schedule (JSON) instead of a random one"
@@ -314,39 +159,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="run each seed twice; fail unless event logs are byte-identical",
     )
-    parser.add_argument(
-        "--storm",
-        action="store_true",
-        help="storm-then-clear mode: degraded-mode entry, auto-resume, liveness",
-    )
+    modes = parser.add_mutually_exclusive_group()
+    for name, scenario in SCENARIOS.items():
+        if name != MODE_DST:
+            modes.add_argument(
+                _flag(name), dest="mode", action="store_const", const=name,
+                help=scenario.help,
+            )
+    parser.set_defaults(mode=MODE_DST)
     parser.add_argument(
         "--storm-kind",
         choices=(STORM_AUTO,) + STORM_KINDS,
-        default=STORM_AUTO,
-        help="storm flavour: io faults, disk-full squeeze, both, or per-seed auto",
+        help="storm flavour: io faults, disk-full squeeze, both, or per-seed auto "
+        "(default auto)",
     )
     parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="replicated-cluster mode: WAL shipping, quorum acks, partition/failover",
+        "--nodes", type=int, help="cluster size for --cluster (default 3)"
     )
     parser.add_argument(
-        "--nodes", type=int, default=3, help="cluster size for --cluster (default 3)"
+        "--shards", type=int, help="shard groups for --serving (default 2)"
     )
     parser.add_argument(
-        "--serving",
-        action="store_true",
-        help="serving-chaos mode: replicated shards + tenant fleet + "
-        "failover/partition/storms injected mid-traffic",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2, help="shard groups for --serving (default 2)"
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=3,
-        help="replicas per shard group for --serving (default 3)",
+        "--replicas", type=int, help="replicas per shard group for --serving (default 3)"
     )
     parser.add_argument(
         "--jobs",
@@ -358,59 +192,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if sum((args.storm, args.cluster, args.serving)) > 1:
-        raise SystemExit("--storm, --cluster and --serving are mutually exclusive")
-    if args.storm:
-        if args.replay:
-            raise SystemExit("--storm generates its own schedule; --replay invalid")
-        return _run_storm(args, _parse_seeds(args))
-    if args.cluster:
-        return _run_cluster(args, _parse_seeds(args))
-    if args.serving:
-        return _run_serving(args, _parse_seeds(args))
-
-    schedule = FaultSchedule.from_file(args.replay) if args.replay else None
-    failures = 0
-    seeds = _parse_seeds(args)
-    cfg_kwargs = {
-        "num_ops": args.ops,
-        "num_keys": args.keys,
-        "faults": not args.no_faults,
-        "max_faults": args.max_faults,
-        "schedule": schedule,
-    }
-    items = [(seed, cfg_kwargs, args.selfcheck) for seed in seeds]
-    runs = imap_points(_dst_seed_worker, items, jobs=args.jobs)
-    for seed, (result, again) in zip(seeds, runs):
-        if args.selfcheck:
-            if again.events != result.events or again.verdict != result.verdict:
-                print(f"seed={seed} NONDETERMINISTIC: reruns diverge")
-                for a, b in zip(result.events, again.events):
-                    if a != b:
-                        print(f"  first : {a}\n  second: {b}")
-                        break
-                failures += 1
-                continue
-        status = result.verdict
-        crash = "clean" if result.crash_ns < 0 else f"t={result.crash_ns}"
-        print(
-            f"seed={seed} {status} cut={result.cut}/{result.writes_issued} "
-            f"acked={result.writes_acked} crash={crash} "
-            f"faults={result.faults_fired}"
-            + (" deterministic" if args.selfcheck else "")
-        )
-        if args.log:
-            for line in result.events:
-                print(f"  {line}")
-        if args.save:
-            with open(args.save, "w", encoding="utf-8") as fh:
-                fh.write(result.schedule_json + "\n")
-            print(f"  schedule saved to {args.save}")
-        if not result.ok:
-            failures += 1
-            print(f"  reason: {result.reason}")
-            print(f"  repro: {_repro_line(args, seed)}")
-    return 1 if failures else 0
+    # Mode-specific flags default to None ("the scenario's own default"),
+    # so a flag the chosen mode would silently ignore is caught here.
+    used = SCENARIOS[args.mode].flags
+    for dest in _MODE_FLAGS:
+        if dest not in used and getattr(args, dest) is not None:
+            raise SystemExit(f"{_flag(dest)} is not used in {args.mode} mode")
+    return _sweep(args, _parse_seeds(args))
 
 
 if __name__ == "__main__":

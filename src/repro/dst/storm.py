@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.dst.harness import DELETE, GET, PUT, _Op
 from repro.errors import (
     CorruptionError,
     DBError,
@@ -60,22 +61,10 @@ STORM_MIXED = "mixed"
 STORM_AUTO = "auto"
 STORM_KINDS = (STORM_IO, STORM_SPACE, STORM_MIXED)
 
-PUT = "put"
-DELETE = "delete"
-GET = "get"
-
 
 def _sleep(ns: int):
     """Generator: advance virtual time by ``ns``."""
     yield ns
-
-
-@dataclass(frozen=True)
-class _Op:
-    kind: str
-    key: bytes
-    value: Optional[bytes] = None
-    index: int = 0  # 1-based write index; 0 for reads
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Coverage-guided scenario fuzzing over the deterministic harnesses.
 
-``repro.fuzz`` turns the repo's invariant checkers (crash DST, storm
-DST, cluster DST) from spot-checks into a search process:
+``repro.fuzz`` turns the repo's invariant checkers (crash, storm,
+cluster and serving DST) from spot-checks into a search process:
 
 * the **genome** (:mod:`repro.fuzz.genome`) is a harness mode, workload
   knobs and a schema-v2 :class:`~repro.faults.FaultSchedule`;

@@ -8,8 +8,9 @@ fuzzer find — once minimized, fixed and flipped to ``expect.ok: true``
 — can never silently regress.
 
 Bootstrap genomes mirror the schedules the existing DST / storm /
-cluster harnesses would draw for their first few seeds, so the fuzzer
-starts from scenarios that are known-meaningful rather than from noise.
+cluster / serving harnesses would draw for their first few seeds, so
+the fuzzer starts from scenarios that are known-meaningful rather than
+from noise.
 """
 
 from __future__ import annotations
@@ -19,22 +20,15 @@ import os
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.dst.cluster import ClusterDstConfig
-from repro.dst.harness import DstConfig
-from repro.dst.serving import ServingDstConfig, draw_serving_chaos
-from repro.dst.storm import StormConfig, StormRun
-from repro.errors import FaultConfigError
-from repro.faults import CRASH, FaultSchedule, FaultSpec
-from repro.fuzz.genome import (
-    HORIZON_PER_OP_NS,
+from repro.dst.scenarios import (
     MODE_CLUSTER,
     MODE_DST,
     MODE_SERVING,
     MODE_STORM,
-    MODES,
-    Genome,
+    SCENARIOS,
 )
-from repro.sim.rng import RandomStream
+from repro.errors import FaultConfigError
+from repro.fuzz.genome import MODES, Genome
 
 CORPUS_SCHEMA = 1
 DEFAULT_CORPUS_DIR = os.path.join("tests", "corpus")
@@ -106,85 +100,34 @@ def load_corpus(dirpath: str) -> List[CorpusEntry]:
     return [CorpusEntry.from_file(path) for path in corpus_files(dirpath)]
 
 
+#: Seeds each mode's bootstrap genomes are drawn from.
+_BOOTSTRAP_SEEDS = {
+    MODE_DST: (0, 1, 2, 3),
+    MODE_STORM: (0, 1, 2),
+    MODE_CLUSTER: (0, 1),
+    MODE_SERVING: (0, 1),
+}
+
+
 def bootstrap_genomes(modes: Sequence[str] = MODES) -> List[Genome]:
     """Deterministic seed scenarios mirroring the existing harnesses.
 
-    Each genome reproduces exactly what ``python -m repro.dst`` (or
-    ``--storm`` / ``--cluster``) would run for that seed: the harnesses
-    draw their schedules from named RNG forks, so pre-drawing the same
-    schedule and passing it back via the config override is
-    byte-identical to letting the harness draw it.
+    Each genome freezes what the harness, at its default config, would
+    run for that seed: the run is constructed (not executed) and its
+    resolved config, schedule and storm kind are read back, so replaying
+    the genome is byte-identical to letting the harness draw them.
     """
     genomes: List[Genome] = []
-    if MODE_DST in modes:
-        for seed in (0, 1, 2, 3):
-            cfg = DstConfig()
-            rng = RandomStream(seed, "dst")
-            schedule = FaultSchedule.random(
-                rng.fork("faults"), cfg.horizon_ns, max_faults=cfg.max_faults
-            )
-            crash_at = rng.fork("crash").randint(cfg.horizon_ns // 8, cfg.horizon_ns)
-            schedule.add(FaultSpec(CRASH, at_time=crash_at))
+    for mode in (m for m in MODES if m in modes):
+        scenario = SCENARIOS[mode]
+        for seed in _BOOTSTRAP_SEEDS[mode]:
+            run = scenario.make_run(seed, {})
             genomes.append(
                 Genome(
-                    MODE_DST,
+                    mode,
                     workload_seed=seed,
-                    num_ops=cfg.num_ops,
-                    num_keys=cfg.num_keys,
-                    schedule=schedule,
-                )
-            )
-    if MODE_STORM in modes:
-        for seed in (0, 1, 2):
-            # Let the harness resolve kind/schedule for this seed, then
-            # freeze both into the genome.
-            run = StormRun(seed, StormConfig())
-            genomes.append(
-                Genome(
-                    MODE_STORM,
-                    workload_seed=seed,
-                    num_ops=run.config.num_ops,
-                    num_keys=run.config.num_keys,
                     schedule=run.schedule,
-                    storm_kind=run.kind,
-                )
-            )
-    if MODE_CLUSTER in modes:
-        for seed in (0, 1):
-            cfg = ClusterDstConfig()
-            rng = RandomStream(seed, "cluster-dst")
-            schedule = FaultSchedule.random_cluster(
-                rng.fork("faults"),
-                cfg.horizon_ns,
-                cfg.n_nodes,
-                max_faults=cfg.max_faults,
-            )
-            genomes.append(
-                Genome(
-                    MODE_CLUSTER,
-                    workload_seed=seed,
-                    num_ops=cfg.num_ops,
-                    num_keys=cfg.num_keys,
-                    schedule=schedule,
-                    n_nodes=cfg.n_nodes,
-                )
-            )
-    if MODE_SERVING in modes:
-        for seed in (0, 1):
-            cfg = ServingDstConfig()
-            rng = RandomStream(seed, "serving-dst")
-            schedule = draw_serving_chaos(
-                rng.fork("chaos"), cfg.horizon_ns, cfg.shards, cfg.replicas
-            )
-            genomes.append(
-                Genome(
-                    MODE_SERVING,
-                    workload_seed=seed,
-                    num_ops=cfg.duration_ns // HORIZON_PER_OP_NS[MODE_SERVING],
-                    num_keys=cfg.key_count,
-                    schedule=schedule,
-                    n_nodes=cfg.replicas,
-                    shards=cfg.shards,
+                    **scenario.genome_knobs(run),
                 )
             )
     return genomes

@@ -12,13 +12,10 @@ than killing the fuzz loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import FrozenSet
 
-from repro.dst.cluster import ClusterDstConfig, ClusterDstRun
-from repro.dst.harness import DstConfig, DstRun
-from repro.dst.serving import ServingDstConfig, ServingDstRun
-from repro.dst.storm import StormConfig, StormRun
-from repro.fuzz.genome import MODE_CLUSTER, MODE_DST, MODE_SERVING, MODE_STORM, Genome
+from repro.dst.scenarios import SCENARIOS, run_guarded
+from repro.fuzz.genome import Genome
 from repro.obs import Tracer, set_active_tracer
 from repro.obs.vocab import log_vocabulary, normalize_log_line, trace_vocabulary
 
@@ -44,81 +41,30 @@ class Outcome:
 
 def build_run(genome: Genome):
     """Instantiate the harness run a genome describes (not yet executed)."""
-    if genome.mode == MODE_DST:
-        return DstRun(
-            genome.workload_seed,
-            DstConfig(
-                num_ops=genome.num_ops,
-                num_keys=genome.num_keys,
-                schedule=genome.schedule,
-            ),
-        )
-    if genome.mode == MODE_STORM:
-        return StormRun(
-            genome.workload_seed,
-            StormConfig(
-                kind=genome.storm_kind,
-                num_ops=genome.num_ops,
-                num_keys=genome.num_keys,
-                schedule=genome.schedule,
-            ),
-        )
-    if genome.mode == MODE_SERVING:
-        return ServingDstRun(
-            genome.workload_seed,
-            ServingDstConfig(
-                shards=genome.shards,
-                replicas=genome.n_nodes,
-                key_count=genome.num_keys,
-                duration_ns=genome.horizon_ns,
-                schedule=genome.schedule,
-            ),
-        )
-    return ClusterDstRun(
-        genome.workload_seed,
-        ClusterDstConfig(
-            num_ops=genome.num_ops,
-            num_keys=genome.num_keys,
-            n_nodes=genome.n_nodes,
-            schedule=genome.schedule,
-        ),
-    )
+    scenario = SCENARIOS[genome.mode]
+    return scenario.make_run(genome.workload_seed, scenario.from_genome(genome))
 
 
 def execute(genome: Genome, max_trace_events: int = 200_000) -> Outcome:
     """Run ``genome`` deterministically; never raises for harness failures."""
     tracer = Tracer(max_events=max_trace_events)
     set_active_tracer(tracer)
-    events: List[str] = []
-    faults_fired = 0
-    run = None
     try:
-        run = build_run(genome)
-        result = run.run()
-        ok = result.ok
-        reason = result.reason
-        verdict = result.verdict
-        events = result.events
-        faults_fired = getattr(result, "faults_fired", 0)
-    except Exception as exc:  # noqa: BLE001 — an escaping exception IS the finding
-        ok = False
-        reason = f"{type(exc).__name__}: {exc}"
-        verdict = f"EXCEPTION({reason})"
-        events = list(getattr(run, "events", []) or [])
+        result = run_guarded(lambda: build_run(genome))
     finally:
         set_active_tracer(None)
 
     vocab = set(trace_vocabulary(tracer))
-    vocab |= log_vocabulary(events)
-    vocab.add(f"outcome|{genome.mode}|{'pass' if ok else 'fail'}")
-    if not ok:
-        vocab.add(f"outcome|{genome.mode}|{normalize_log_line(reason)}")
+    vocab |= log_vocabulary(result.events)
+    vocab.add(f"outcome|{genome.mode}|{'pass' if result.ok else 'fail'}")
+    if not result.ok:
+        vocab.add(f"outcome|{genome.mode}|{normalize_log_line(result.reason)}")
     return Outcome(
-        ok=ok,
-        verdict=verdict,
-        reason=reason,
+        ok=result.ok,
+        verdict=result.verdict,
+        reason=result.reason,
         vocab=frozenset(vocab),
-        faults_fired=faults_fired,
+        faults_fired=getattr(result, "faults_fired", 0),
         trace_events=tracer.num_events,
     )
 

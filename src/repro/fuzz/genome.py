@@ -13,8 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
+from repro.dst.scenarios import (
+    MODE_CLUSTER,
+    MODE_DST,
+    MODE_SERVING,
+    MODE_STORM,
+    SCENARIOS,
+)
+from repro.dst.storm import STORM_KINDS, StormConfig
 from repro.errors import FaultConfigError
 from repro.faults import FaultSchedule
 from repro.faults.mutate import (
@@ -24,26 +32,8 @@ from repro.faults.mutate import (
     STORM_MUTATION_KINDS,
     MutationContext,
 )
-from repro.sim.units import us
 
-MODE_DST = "dst"
-MODE_STORM = "storm"
-MODE_CLUSTER = "cluster"
-MODE_SERVING = "serving"
-MODES: Tuple[str, ...] = (MODE_DST, MODE_STORM, MODE_CLUSTER, MODE_SERVING)
-
-#: Virtual time granted per op, per mode — mirrors each harness's default
-#: (``DstConfig.horizon_per_op_ns``, ``StormConfig.pace_ns``,
-#: ``ClusterDstConfig.horizon_per_op_ns``).  Serving mode has no op
-#: count of its own (the fleet is open-loop over a duration), so
-#: ``num_ops`` is an abstract size knob: duration = num_ops × 250us,
-#: making the 400-op genome exactly the harness's 100ms default.
-HORIZON_PER_OP_NS = {
-    MODE_DST: us(30),
-    MODE_STORM: us(30),
-    MODE_CLUSTER: us(300),
-    MODE_SERVING: us(250),
-}
+MODES: Tuple[str, ...] = tuple(SCENARIOS)
 
 #: Workload-size bounds per mode (keeps mutated runs affordable).
 OPS_BOUNDS = {
@@ -58,13 +48,6 @@ KEYS_BOUNDS = {
     MODE_CLUSTER: (8, 48),
     MODE_SERVING: (8, 32),
 }
-
-#: Storm window fractions (matches ``StormConfig`` defaults): storm-mode
-#: schedule triggers are clamped into this window so mutations explore
-#: the storm, not the bounded out-of-window auto-resume budget.
-STORM_WINDOW_FRACS = (0.25, 0.55)
-
-STORM_KINDS = ("io", "space", "mixed")
 
 GENOME_SCHEMA = 1
 
@@ -119,17 +102,18 @@ class Genome:
 
     @property
     def horizon_ns(self) -> int:
-        return self.num_ops * HORIZON_PER_OP_NS[self.mode]
+        return self.num_ops * SCENARIOS[self.mode].horizon_per_op_ns
 
     def mutation_context(self) -> MutationContext:
         """The bounds any mutation of this genome's schedule must respect."""
         if self.mode == MODE_STORM:
-            h = self.horizon_ns
-            w0, w1 = (int(h * f) for f in STORM_WINDOW_FRACS)
+            # Triggers are clamped into the harness's storm window, so
+            # mutations explore the storm, not the bounded out-of-window
+            # auto-resume budget.
             return MutationContext(
-                horizon_ns=h,
+                horizon_ns=self.horizon_ns,
                 kinds=STORM_MUTATION_KINDS,
-                window=(w0, w1),
+                window=StormConfig(num_ops=self.num_ops).window_ns,
                 transient_only=True,
             )
         if self.mode == MODE_CLUSTER:
@@ -206,7 +190,6 @@ class Genome:
 
 __all__ = [
     "GENOME_SCHEMA",
-    "HORIZON_PER_OP_NS",
     "KEYS_BOUNDS",
     "MODE_CLUSTER",
     "MODE_DST",
@@ -214,7 +197,5 @@ __all__ = [
     "MODE_STORM",
     "MODES",
     "OPS_BOUNDS",
-    "STORM_KINDS",
-    "STORM_WINDOW_FRACS",
     "Genome",
 ]

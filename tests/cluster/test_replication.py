@@ -84,6 +84,44 @@ class TestFollowerCrash:
         assert len(cluster.nodes[victim].log) == 20
         assert not cluster.violations
 
+    def test_restart_without_space_for_a_wal_stays_down(self):
+        engine, cluster = make_cluster()
+        put_n(engine, cluster, 0, 10)
+        victim = next(
+            n.node_id for n in cluster.nodes if n.node_id != cluster.leader_id
+        )
+        cluster.crash_node(victim)
+        fs = cluster.nodes[victim].fs
+        fs.set_quota(fs.used_bytes())
+        cluster.restart_node(victim)
+        assert not cluster.nodes[victim].alive
+        assert cluster.events[-1].endswith(
+            f"node {victim} restart failed: out of space"
+        )
+        put_n(engine, cluster, 10, 20)
+        fs.set_quota(None)
+        cluster.restart_node(victim)
+        assert settle(engine, cluster, ms(200))
+        assert len(cluster.nodes[victim].log) == 20
+        assert not cluster.violations
+
+    def test_election_skips_a_winner_that_cannot_open(self):
+        engine, cluster = make_cluster()
+        put_n(engine, cluster, 0, 5)
+        assert settle(engine, cluster, ms(100))
+        for node_id in (2, 1, 0):
+            cluster.crash_node(node_id)
+        squeezed = cluster.nodes[0].fs
+        squeezed.set_quota(squeezed.used_bytes())
+        cluster.restart_node(1)  # alone: below quorum, no election
+        cluster.restart_node(0)  # would win the election, cannot open its DB
+        assert cluster.leader_id is None
+        assert not cluster.nodes[0].alive
+        squeezed.set_quota(None)
+        cluster.restart_node(0)
+        assert cluster.leader_id == 0
+        assert not cluster.violations
+
     def test_crash_is_node_local(self):
         # The victim's crash must not disturb the leader's in-flight work.
         engine, cluster = make_cluster()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dst import ClusterDstConfig, ClusterDstRun
-from repro.dst.__main__ import _cluster_seed_worker
+from repro.dst.__main__ import _seed_worker
+from repro.dst.scenarios import MODE_CLUSTER
 from repro.faults import CRASH, HEAL, PARTITION, FaultSchedule, FaultSpec
 from repro.perf.parallel import imap_points
 from repro.sim.units import ms
@@ -32,9 +33,9 @@ class TestDeterminism:
     def test_serial_and_parallel_sweeps_match(self):
         """Per-node/link RNG substreams make --jobs a pure speedup: the
         parallel sweep's results are byte-identical to the serial loop's."""
-        items = [(seed, {"num_ops": 60}, False) for seed in range(6)]
-        serial = [r for r, _ in imap_points(_cluster_seed_worker, items, jobs=1)]
-        parallel = [r for r, _ in imap_points(_cluster_seed_worker, items, jobs=2)]
+        items = [(MODE_CLUSTER, seed, {"num_ops": 60}, False) for seed in range(6)]
+        serial = [r for r, _ in imap_points(_seed_worker, items, jobs=1)]
+        parallel = [r for r, _ in imap_points(_seed_worker, items, jobs=2)]
         for a, b in zip(serial, parallel):
             assert a.events == b.events
             assert a.log_digest == b.log_digest

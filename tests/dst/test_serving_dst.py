@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dst import ServingDstConfig, ServingDstRun
-from repro.dst.__main__ import _serving_seed_worker
+from repro.dst.__main__ import _seed_worker
+from repro.dst.scenarios import MODE_SERVING
 from repro.dst.serving import draw_serving_chaos, leader_fault_count
 from repro.faults import CRASH, PARTITION, FaultSchedule, FaultSpec
 from repro.perf.parallel import imap_points
@@ -56,9 +57,9 @@ class TestDeterminism:
 
     def test_serial_and_parallel_sweeps_match(self):
         """--jobs is a pure speedup: worker results are byte-identical."""
-        items = [(seed, {"duration_ns": ms(40)}, False) for seed in range(4)]
-        serial = [r for r, _ in imap_points(_serving_seed_worker, items, jobs=1)]
-        parallel = [r for r, _ in imap_points(_serving_seed_worker, items, jobs=2)]
+        items = [(MODE_SERVING, seed, {"duration_ns": ms(40)}, False) for seed in range(4)]
+        serial = [r for r, _ in imap_points(_seed_worker, items, jobs=1)]
+        parallel = [r for r, _ in imap_points(_seed_worker, items, jobs=2)]
         for a, b in zip(serial, parallel):
             assert a.events == b.events
             assert a.log_digest == b.log_digest
@@ -95,6 +96,21 @@ class TestVerdicts:
             result.events[-25:]
         )
         assert result.leader_faults >= 1
+
+    def test_restart_inside_a_quota_squeeze_stays_down_then_rejoins(self):
+        """Seed 5111 restarts a crashed node while its quota is squeezed:
+        the WAL cannot be created, so the node stays down (no exception
+        escapes the harness) until the settle-phase restart rejoins it."""
+        result = ServingDstRun(5111, ServingDstConfig()).run()
+        assert result.ok, result.reason
+        failed = next(
+            i for i, e in enumerate(result.events)
+            if e.endswith("node 2 restart failed: out of space")
+        )
+        assert any(
+            "node 2 restarted" in e for e in result.events[failed + 1:]
+        )
+        assert result.converged
 
     def test_replayed_partition_schedule(self):
         """An explicit leader-isolating partition replays; writes shed
